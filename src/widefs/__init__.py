@@ -6,6 +6,8 @@ benchmarking classifier x ranker x selector combinations, and emitting
 rank-analysis reports.
 """
 
+__version__ = "0.1.0"  # before the submodules: harness stamps it into resume sidecars
+
 from .dataset import (
     Dataset,
     FeatureSubset,
@@ -46,7 +48,5 @@ from .estimators import (
 )
 from .selectors import SELECTOR_TAGS, SelectionResult, SelectionScheme, select, selection_scheme
 from . import harness, report, stats
-
-__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -14,29 +14,23 @@ conventions per kind:
 
 An empty feature subset is legal for every kind and yields a prior-only
 model that predicts the training class frequencies everywhere.
+
+A kind is defined in one place, its entry in the table ``_KINDS`` at the
+end of this module: defaults, fit, posterior and, where sufficient
+statistics allow it, an exact all-folds leave-one-out.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .dataset import Dataset
-from .utils import canonical_order, entropy_bits
-
-CLASSIFIER_TAGS = ("NN1", "DT", "LDC", "NB", "RF", "SVMG", "SVML")
-
-_DEFAULT_HYPERPARAMS = {
-    "NN1": {},
-    "DT": {"min_split": 2},
-    "LDC": {"ridge": 1e-3},
-    "NB": {"var_floor_scale": 1e-9},
-    "RF": {"n_trees": 100},
-    "SVMG": {"c": 1.0, "tol": 1e-3},
-    "SVML": {"c": 1.0, "tol": 1e-3},
-}
+from .utils import canonical_order, entropy_bits, local_labels
 
 
 @dataclass(frozen=True)
@@ -44,15 +38,12 @@ class ClassifierKind:
     tag: str
     hyperparams: tuple = ()
 
-    def param(self, key):
-        return dict(self.hyperparams)[key]
-
 
 def classifier_kind(tag: str, **overrides) -> ClassifierKind:
     """Build a ClassifierKind with defaults, validating tag and override keys."""
     if tag not in CLASSIFIER_TAGS:
         raise ValueError(f"unknown classifier tag {tag!r}; expected one of {CLASSIFIER_TAGS}")
-    params = dict(_DEFAULT_HYPERPARAMS[tag])
+    params = dict(_KINDS[tag].defaults)
     for key, value in overrides.items():
         if key not in params:
             raise ValueError(f"unknown hyperparameter {key!r} for {tag}")
@@ -87,9 +78,6 @@ class TrainedModel:
 # decision trees (used directly and inside the forest)
 # ---------------------------------------------------------------------------
 
-_entropy = entropy_bits
-
-
 @dataclass
 class _TreeNode:
     feature: int = -1
@@ -116,14 +104,14 @@ def _best_split(X, y, n_classes, candidates):
     onehot = np.zeros((n, len(cand), n_classes))
     np.put_along_axis(onehot, ys[:, :, None], 1.0, axis=2)
     cum = np.cumsum(onehot, axis=0)
-    parent_h = float(_entropy(cum[-1, 0]))
+    parent_h = float(entropy_bits(cum[-1, 0]))
     splittable = xs[:-1] < xs[1:]  # (n-1, c)
     if not splittable.any():
         return None
     left = cum[:-1]
     right = cum[-1][None, :, :] - left
     nl = np.arange(1, n, dtype=float)[:, None]
-    gain = parent_h - (nl * _entropy(left) + (n - nl) * _entropy(right)) / n
+    gain = parent_h - (nl * entropy_bits(left) + (n - nl) * entropy_bits(right)) / n
     gain = np.where(splittable, gain, -np.inf)
     thresholds = 0.5 * (xs[:-1] + xs[1:])
     pos, col = np.unravel_index(
@@ -339,13 +327,13 @@ def _smo_solve_small(K, y, c, tol):
     return np.asarray(alphas), 0.5 * (up_v + low_v)
 
 
+def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of A and of B (may dip below 0)."""
+    return np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :] - 2.0 * (A @ B.T)
+
+
 def _rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
-    sq = (
-        np.sum(A * A, axis=1)[:, None]
-        + np.sum(B * B, axis=1)[None, :]
-        - 2.0 * (A @ B.T)
-    )
-    return np.exp(-gamma * np.maximum(sq, 0.0))
+    return np.exp(-gamma * np.maximum(_sq_dists(A, B), 0.0))
 
 
 def linear_svm_weights(X: np.ndarray, y_signs: np.ndarray, c: float = 1.0, tol: float = 1e-3):
@@ -370,71 +358,15 @@ def _fit(kind: ClassifierKind, X: np.ndarray, y: np.ndarray, seed: int, presorte
     if not presorted:
         order = canonical_order(X, y)
         X, y = X[order], y[order]
-    classes = np.unique(y)
-    y_local = np.searchsorted(classes, y)
+    classes, y_local = local_labels(y)
     m = len(classes)
     counts = np.bincount(y_local, minlength=m).astype(float)
     priors = counts / counts.sum()
     model = TrainedModel(kind=kind, classes=classes, n_features=X.shape[1], priors=priors, state=None)
     if X.shape[1] == 0 or m == 1:
         model.state = ("prior",)
-        return model
-
-    tag = kind.tag
-    params = dict(kind.hyperparams)
-    if tag == "NN1":
-        model.state = ("nn1", X, y_local)
-    elif tag == "DT":
-        root = _grow_tree(X, y_local, m, min_split=params["min_split"])
-        model.state = ("dt", root)
-    elif tag == "LDC":
-        means = np.stack([X[y_local == k].mean(axis=0) for k in range(m)])
-        centered = X - means[y_local]
-        dof = max(1, len(y) - m)
-        cov = (centered.T @ centered) / dof
-        reg = params["ridge"] * np.trace(cov) / X.shape[1] + 1e-12
-        prec = np.linalg.pinv(cov + reg * np.eye(X.shape[1]))
-        model.state = ("ldc", means, prec, np.log(priors))
-    elif tag == "NB":
-        means = np.stack([X[y_local == k].mean(axis=0) for k in range(m)])
-        variances = np.stack([X[y_local == k].var(axis=0) for k in range(m)])
-        rng_span = X.max(axis=0) - X.min(axis=0)
-        floor = np.where(rng_span > 0, params["var_floor_scale"] * rng_span**2, 1.0)
-        variances = np.maximum(variances, floor)
-        model.state = ("nb", means, variances, np.log(priors))
-    elif tag == "RF":
-        n_trees = params["n_trees"]
-        n_candidates = max(1, math.ceil(math.sqrt(X.shape[1])))
-        importances = np.zeros(X.shape[1])
-        trees = []
-        for t in range(n_trees):
-            # one independent child stream per tree (same streams as
-            # SeedSequence(seed).spawn(n_trees), built without the overhead)
-            rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
-            )
-            rows = rng.integers(0, len(y), size=len(y))
-            tree_imp = np.zeros(X.shape[1])
-            trees.append(
-                _grow_tree(X[rows], y_local[rows], m, rng, n_candidates, importances=tree_imp)
-            )
-            importances += tree_imp / len(y)
-        model.state = ("rf", trees, importances / n_trees)
-    elif tag in ("SVML", "SVMG"):
-        if m != 2:
-            raise ValueError("SVM classifiers support exactly 2 classes")
-        signs = np.where(y_local == 1, 1.0, -1.0)
-        if tag == "SVML":
-            K = X @ X.T
-            gamma = None
-        else:
-            gamma = 1.0 / X.shape[1]
-            K = _rbf_kernel(X, X, gamma)
-        alphas, b = _smo_solve(K, signs, params["c"], params["tol"])
-        sv = alphas > 0
-        model.state = ("svm", X[sv], (alphas * signs)[sv], b, gamma)
-    else:  # pragma: no cover - tags validated upstream
-        raise ValueError(f"unknown classifier tag {tag!r}")
+    else:
+        model.state = _KINDS[kind.tag].fit(X, y_local, priors, dict(kind.hyperparams), seed)
     return model
 
 
@@ -479,58 +411,9 @@ def predict_proba(model: TrainedModel, x) -> np.ndarray:
 
 
 def _proba_matrix(model: TrainedModel, X: np.ndarray) -> np.ndarray:
-    state = model.state
-    n = X.shape[0]
-    m = len(model.classes)
-    tag = state[0]
-    if tag == "prior":
-        return np.tile(model.priors, (n, 1))
-    if tag == "nn1":
-        _, Xt, yt = state
-        sq = (
-            np.sum(X * X, axis=1)[:, None]
-            + np.sum(Xt * Xt, axis=1)[None, :]
-            - 2.0 * (X @ Xt.T)
-        )
-        d = np.sqrt(np.maximum(sq, 0.0))
-        dmin = np.full((n, m), np.inf)
-        for k in range(m):
-            dmin[:, k] = d[:, yt == k].min(axis=1)
-        return _softmax(-dmin)
-    if tag == "dt":
-        return np.stack([_tree_proba(state[1], row) for row in X])
-    if tag == "ldc":
-        _, means, prec, log_priors = state
-        pm = means @ prec
-        scores = X @ pm.T - 0.5 * np.sum(pm * means, axis=1)[None, :] + log_priors[None, :]
-        return _softmax(scores)
-    if tag == "nb":
-        _, means, variances, log_priors = state
-        ll = -0.5 * (
-            np.log(2.0 * math.pi * variances)[None, :, :]
-            + (X[:, None, :] - means[None, :, :]) ** 2 / variances[None, :, :]
-        ).sum(axis=2)
-        return _softmax(ll + log_priors[None, :])
-    if tag == "rf":
-        _, trees, _ = state
-        acc = np.zeros((n, m))
-        for i in range(n):
-            row = X[i]
-            for tree in trees:
-                acc[i] += _tree_proba(tree, row)
-        return acc / len(trees)
-    if tag == "svm":
-        _, sv, coef, b, gamma = state
-        if gamma is None:
-            f = X @ (sv.T @ coef) + b if len(coef) else np.full(n, b)
-        else:
-            f = (_rbf_kernel(X, sv, gamma) @ coef + b) if len(coef) else np.full(n, b)
-        probs = np.zeros((n, 2))
-        positive = f > 0
-        probs[positive, 1] = 1.0
-        probs[~positive, 0] = 1.0
-        return probs
-    raise ValueError(f"unknown model state {tag!r}")  # pragma: no cover
+    if model.state[0] == "prior":
+        return np.tile(model.priors, (X.shape[0], 1))
+    return _KINDS[model.kind.tag].proba(model.state, X, len(model.classes))
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -556,3 +439,234 @@ def predict_label(model: TrainedModel, x):
     if np.ndim(idx) == 0:
         return lookup[int(idx)]
     return np.array([lookup[int(i)] for i in idx], dtype=object)
+
+
+# ---------------------------------------------------------------------------
+# the kinds
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Kind:
+    """One classifier kind: default hyperparameters and three functions.
+
+    All see rows in canonical order and local labels y in 0..m-1.
+    ``fit(X, y, priors, params, seed)`` returns the model state (m >= 2, at
+    least one column); ``proba(state, X, m)`` returns (n, m) posteriors;
+    ``loo(X, y, m, params)`` returns every row's posterior under the model
+    fitted without it, given 2+ rows per class, and must equal the
+    fold-by-fold refit that runs where it is None.
+    """
+
+    defaults: dict
+    fit: Callable
+    proba: Callable
+    loo: Callable | None = None
+
+
+def _fit_nn1(X, y, priors, params, seed):
+    return ("nn1", X, y)
+
+
+def _proba_nn1(state, X, m):
+    _, Xt, yt = state
+    d = np.sqrt(np.maximum(_sq_dists(X, Xt), 0.0))
+    dmin = np.full((X.shape[0], m), np.inf)
+    for k in range(m):
+        dmin[:, k] = d[:, yt == k].min(axis=1)
+    return _softmax(-dmin)
+
+
+def _loo_nn1(X, y, m, params):
+    """All folds at once: the fold only removes the test point itself."""
+    n = len(y)
+    sq = np.sum(X * X, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    d = np.sqrt(np.maximum(d2, 0.0))
+    np.fill_diagonal(d, np.inf)
+    dmin = np.empty((n, m))
+    for k in range(m):
+        dmin[:, k] = d[:, y == k].min(axis=1)
+    return _softmax(-dmin)
+
+
+def _fit_dt(X, y, priors, params, seed):
+    return ("dt", _grow_tree(X, y, len(priors), min_split=params["min_split"]))
+
+
+def _proba_dt(state, X, m):
+    return np.stack([_tree_proba(state[1], row) for row in X])
+
+
+def _fit_ldc(X, y, priors, params, seed):
+    m = len(priors)
+    means = np.stack([X[y == k].mean(axis=0) for k in range(m)])
+    centered = X - means[y]
+    dof = max(1, len(y) - m)
+    cov = (centered.T @ centered) / dof
+    reg = params["ridge"] * np.trace(cov) / X.shape[1] + 1e-12
+    prec = np.linalg.pinv(cov + reg * np.eye(X.shape[1]))
+    return ("ldc", means, prec, np.log(priors))
+
+
+def _proba_ldc(state, X, m):
+    _, means, prec, log_priors = state
+    pm = means @ prec
+    scores = X @ pm.T - 0.5 * np.sum(pm * means, axis=1)[None, :] + log_priors[None, :]
+    return _softmax(scores)
+
+
+def _loo_ldc(X, y, m, params):
+    """Batched LDC folds via rank-1 scatter downdates and stacked pinv."""
+    n, k = X.shape
+    counts = np.bincount(y, minlength=m).astype(float)
+    sums = np.zeros((m, k))
+    np.add.at(sums, y, X)
+    means = sums / counts[:, None]
+    centered = X - means[y]
+    scatter = centered.T @ centered
+    w = counts[y] / (counts[y] - 1.0)
+    scatters = scatter[None, :, :] - w[:, None, None] * centered[:, :, None] * centered[:, None, :]
+    dof = max(1, (n - 1) - m)
+    covs = scatters / dof
+    trace = np.einsum("ijj->i", covs)
+    reg = params["ridge"] * trace / k + 1e-12
+    covs = covs + reg[:, None, None] * np.eye(k)[None, :, :]
+    prec = np.linalg.pinv(covs)
+    fold_means = np.broadcast_to(means, (n, m, k)).copy()
+    own = (sums[y] - X) / (counts[y] - 1.0)[:, None]
+    fold_means[np.arange(n), y] = own
+    fold_counts = np.tile(counts, (n, 1))
+    fold_counts[np.arange(n), y] -= 1.0
+    log_priors = np.log(fold_counts / (n - 1))
+    pm = np.einsum("imk,ikl->iml", fold_means, prec)
+    scores = (
+        np.einsum("ik,imk->im", X, pm)
+        - 0.5 * np.einsum("imk,imk->im", pm, fold_means)
+        + log_priors
+    )
+    return _softmax(scores)
+
+
+def _fit_nb(X, y, priors, params, seed):
+    m = len(priors)
+    means = np.stack([X[y == k].mean(axis=0) for k in range(m)])
+    variances = np.stack([X[y == k].var(axis=0) for k in range(m)])
+    rng_span = X.max(axis=0) - X.min(axis=0)
+    floor = np.where(rng_span > 0, params["var_floor_scale"] * rng_span**2, 1.0)
+    variances = np.maximum(variances, floor)
+    return ("nb", means, variances, np.log(priors))
+
+
+def _proba_nb(state, X, m):
+    _, means, variances, log_priors = state
+    ll = -0.5 * (
+        np.log(2.0 * math.pi * variances)[None, :, :]
+        + (X[:, None, :] - means[None, :, :]) ** 2 / variances[None, :, :]
+    ).sum(axis=2)
+    return _softmax(ll + log_priors[None, :])
+
+
+def _loo_nb(X, y, m, params):
+    """Batched Gaussian naive Bayes folds via sum/sum-square downdates."""
+    n, k = X.shape
+    counts = np.bincount(y, minlength=m).astype(float)
+    s1 = np.zeros((m, k))
+    s2 = np.zeros((m, k))
+    np.add.at(s1, y, X)
+    np.add.at(s2, y, X * X)
+    base_mean = s1 / counts[:, None]
+    base_var = s2 / counts[:, None] - base_mean**2
+    fold_means = np.broadcast_to(base_mean, (n, m, k)).copy()
+    fold_vars = np.broadcast_to(base_var, (n, m, k)).copy()
+    own_n = (counts[y] - 1.0)[:, None]
+    own_mean = (s1[y] - X) / own_n
+    own_var = (s2[y] - X * X) / own_n - own_mean**2
+    rows = np.arange(n)
+    fold_means[rows, y] = own_mean
+    fold_vars[rows, y] = np.maximum(own_var, 0.0)
+    # per-fold feature ranges: drop row i from the column max/min
+    hi_idx = np.argmax(X, axis=0)
+    lo_idx = np.argmin(X, axis=0)
+    tmp = X.copy()
+    tmp[hi_idx, np.arange(k)] = -np.inf
+    hi2 = tmp.max(axis=0)
+    tmp = X.copy()
+    tmp[lo_idx, np.arange(k)] = np.inf
+    lo2 = tmp.min(axis=0)
+    fold_hi = np.where(rows[:, None] == hi_idx[None, :], hi2[None, :], X[hi_idx, np.arange(k)][None, :])
+    fold_lo = np.where(rows[:, None] == lo_idx[None, :], lo2[None, :], X[lo_idx, np.arange(k)][None, :])
+    span = fold_hi - fold_lo
+    floor = np.where(span > 0, params["var_floor_scale"] * span**2, 1.0)
+    fold_vars = np.maximum(fold_vars, floor[:, None, :])
+    fold_counts = np.tile(counts, (n, 1))
+    fold_counts[rows, y] -= 1.0
+    log_priors = np.log(fold_counts / (n - 1))
+    ll = -0.5 * (np.log(2.0 * math.pi * fold_vars) + (X[:, None, :] - fold_means) ** 2 / fold_vars).sum(axis=2)
+    return _softmax(ll + log_priors)
+
+
+def _fit_rf(X, y, priors, params, seed):
+    n_trees = params["n_trees"]
+    n_candidates = max(1, math.ceil(math.sqrt(X.shape[1])))
+    importances = np.zeros(X.shape[1])
+    trees = []
+    for t in range(n_trees):
+        # one independent child stream per tree (same streams as
+        # SeedSequence(seed).spawn(n_trees), built without the overhead)
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(t,)))
+        )
+        rows = rng.integers(0, len(y), size=len(y))
+        tree_imp = np.zeros(X.shape[1])
+        trees.append(
+            _grow_tree(X[rows], y[rows], len(priors), rng, n_candidates, importances=tree_imp)
+        )
+        importances += tree_imp / len(y)
+    return ("rf", trees, importances / n_trees)
+
+
+def _proba_rf(state, X, m):
+    _, trees, _ = state
+    acc = np.zeros((X.shape[0], m))
+    for i, row in enumerate(X):
+        for tree in trees:
+            acc[i] += _tree_proba(tree, row)
+    return acc / len(trees)
+
+
+def _fit_svm(X, y, priors, params, seed, rbf):
+    if len(priors) != 2:
+        raise ValueError("SVM classifiers support exactly 2 classes")
+    signs = np.where(y == 1, 1.0, -1.0)
+    if rbf:
+        gamma = 1.0 / X.shape[1]
+        K = _rbf_kernel(X, X, gamma)
+    else:
+        gamma = None
+        K = X @ X.T
+    alphas, b = _smo_solve(K, signs, params["c"], params["tol"])
+    sv = alphas > 0
+    return ("svm", X[sv], (alphas * signs)[sv], b, gamma)
+
+
+def _proba_svm(state, X, m):
+    _, sv, coef, b, gamma = state
+    n = X.shape[0]
+    if gamma is None:
+        f = X @ (sv.T @ coef) + b if len(coef) else np.full(n, b)
+    else:
+        f = (_rbf_kernel(X, sv, gamma) @ coef + b) if len(coef) else np.full(n, b)
+    return np.eye(2)[(f > 0).astype(np.intp)]  # all mass on the decision side
+
+
+_KINDS = {
+    "NN1": _Kind({}, _fit_nn1, _proba_nn1, _loo_nn1),
+    "DT": _Kind({"min_split": 2}, _fit_dt, _proba_dt),
+    "LDC": _Kind({"ridge": 1e-3}, _fit_ldc, _proba_ldc, _loo_ldc),
+    "NB": _Kind({"var_floor_scale": 1e-9}, _fit_nb, _proba_nb, _loo_nb),
+    "RF": _Kind({"n_trees": 100}, _fit_rf, _proba_rf),
+    "SVMG": _Kind({"c": 1.0, "tol": 1e-3}, partial(_fit_svm, rbf=True), _proba_svm),
+    "SVML": _Kind({"c": 1.0, "tol": 1e-3}, partial(_fit_svm, rbf=False), _proba_svm),
+}
+
+CLASSIFIER_TAGS = tuple(_KINDS)

@@ -166,19 +166,14 @@ def build_parser() -> _Parser:
     p.add_argument("--ranker", default="SU", choices=RANKER_TAGS)
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("analyze", help="rank tables and Friedman tests from results JSONL")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--metric", choices=("true", "est"), default="true")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("report", help="visual artifacts (HTML table, glyph SVGs) from results JSONL")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--metric", choices=("true", "est"), default="true")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--json", action="store_true")
+    for name, text in (("analyze", "rank tables and Friedman tests from results JSONL"),
+                       ("report", "visual artifacts (HTML table, glyph SVGs) from results JSONL")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--metric", choices=("true", "est"), default="true")
+        p.add_argument("--alpha", type=float, default=0.05)
+        p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("demo", help="built-in demonstrations")
     p.add_argument("name", help="demo name: classifier-dependence (alias: fig3)")
@@ -351,15 +346,16 @@ def _cmd_case_study(args) -> int:
 
 
 def _analysis(args):
+    """Records and selector rank rows of ``--in``, and the created ``--out`` directory."""
     records = read_records(args.infile)
     rows = stats.selector_rank_table(records, metric=args.metric, alpha=args.alpha)
-    return records, rows
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return records, rows, out
 
 
 def _cmd_analyze(args) -> int:
-    records, rows = _analysis(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    records, rows, out = _analysis(args)
     selectors = rows[0]["selectors"] if rows else ()
     with open(out / "selector_ranks.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -392,9 +388,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    records, rows = _analysis(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    records, rows, out = _analysis(args)
     emitted = []
     html, csv_twin = rpt.emit_rank_table(rows, out / "rank_table.html")
     emitted += [html, csv_twin]

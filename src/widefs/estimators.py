@@ -18,14 +18,13 @@ computable objects and exist only as documentation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import _coerce_kind, _fit, _proba_matrix
+from .classifiers import _KINDS, _coerce_kind, _fit, _proba_matrix, _subset_columns, predict_index
 from .dataset import Dataset
-from .utils import canonical_order
+from .utils import canonical_order, local_labels
 
 ESTIMATE_KINDS = ("RESUB", "LOO", "SLOO", "RLOO", "HOLDOUT")
 
@@ -50,189 +49,49 @@ class ErrorEstimate:
             raise ValueError(f"error value {self.value} outside [0, 1]")
 
 
-def _columns(data: Dataset, subset) -> np.ndarray:
-    if subset is None:
-        return np.arange(data.n_features, dtype=np.intp)
-    cols = np.asarray(getattr(subset, "indices", subset), dtype=np.intp)
-    if cols.size and (cols.min() < 0 or cols.max() >= data.n_features):
-        raise ValueError("feature subset index out of range")
-    return cols
-
-
-def _predicted_indices(model, X: np.ndarray) -> np.ndarray:
-    probs = _proba_matrix(model, X)
-    return model.classes[np.argmax(probs, axis=1)]
-
-
 def loo_passes(kind, X: np.ndarray, y: np.ndarray, seed: int):
     """Per-fold (correct?, posterior of true class) over all leave-one-out folds.
 
     A fold whose training part loses a class entirely is still trained on
     what remains; the held-out instance then has true-class posterior 0.
-    The deterministic kinds with closed-form sufficient statistics (NN1,
-    LDC, NB, and the prior-only empty-subset model) run through exact
-    batched fold computations; the rest refit fold by fold.
+    The prior-only empty-subset model, and kinds whose table entry has a
+    closed-form leave-one-out, compute all folds at once; the rest refit
+    fold by fold.
     """
     kind = _coerce_kind(kind)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.intp)
     order = canonical_order(X, y)
     Xc, yc = X[order], y[order]
-    counts = np.bincount(yc)
-    counts = counts[counts > 0]
-    if X.shape[1] == 0:
-        correct, p_true = _loo_prior(yc)
-    elif counts.min() < 2:
-        correct, p_true = _loo_refit(kind, Xc, yc, seed)
-    elif kind.tag == "NN1":
-        correct, p_true = _loo_nn1(Xc, yc)
-    elif kind.tag == "LDC":
-        correct, p_true = _loo_ldc(Xc, yc, dict(kind.hyperparams)["ridge"])
-    elif kind.tag == "NB":
-        correct, p_true = _loo_nb(Xc, yc, dict(kind.hyperparams)["var_floor_scale"])
+    classes, y_local = local_labels(yc)
+    counts = np.bincount(y_local)
+    loo = _KINDS[kind.tag].loo
+    if X.shape[1] == 0:  # each fold predicts its own class frequencies
+        probs = (counts - np.eye(len(classes))[y_local]) / (len(yc) - 1)
+    elif counts.min() < 2 or loo is None:
+        probs = _loo_refit(kind, Xc, yc, classes, seed)
     else:
-        correct, p_true = _loo_refit(kind, Xc, yc, seed)
-    out_correct = np.empty_like(correct)
-    out_ptrue = np.empty_like(p_true)
-    out_correct[order] = correct
-    out_ptrue[order] = p_true
-    return out_correct, out_ptrue
+        probs = loo(Xc, y_local, len(classes), dict(kind.hyperparams))
+    correct = np.empty(len(yc), dtype=bool)
+    p_true = np.empty(len(yc))
+    correct[order] = np.argmax(probs, axis=1) == y_local
+    p_true[order] = probs[np.arange(len(yc)), y_local]
+    return correct, p_true
 
 
-def _loo_refit(kind, X, y, seed):
-    """Generic fold-by-fold path; rows are already in canonical order."""
-    n = len(y)
-    correct = np.zeros(n, dtype=bool)
-    p_true = np.zeros(n)
-    keep = np.ones(n, dtype=bool)
-    for i in range(n):
+def _loo_refit(kind, X, y, classes, seed):
+    """Generic fold-by-fold path; rows are already in canonical order.
+
+    Returns (n, len(classes)) posteriors; a class the fold lost gets 0.
+    """
+    probs = np.zeros((len(y), len(classes)))
+    keep = np.ones(len(y), dtype=bool)
+    for i in range(len(y)):
         keep[i] = False
         model = _fit(kind, X[keep], y[keep], seed, presorted=True)
-        probs = _proba_matrix(model, X[i][None, :])[0]
-        pos = np.searchsorted(model.classes, y[i])
-        if pos < len(model.classes) and model.classes[pos] == y[i]:
-            p_true[i] = probs[pos]
-        correct[i] = model.classes[int(np.argmax(probs))] == y[i]
+        probs[i, np.searchsorted(classes, model.classes)] = _proba_matrix(model, X[i][None, :])[0]
         keep[i] = True
-    return correct, p_true
-
-
-def _local_labels(y):
-    classes = np.unique(y)
-    return classes, np.searchsorted(classes, y)
-
-
-def _finish(scores, y_local):
-    """Softmax scores (n, m) -> (correct, p_true) per row."""
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=1, keepdims=True)
-    n = len(y_local)
-    p_true = probs[np.arange(n), y_local]
-    correct = np.argmax(probs, axis=1) == y_local
-    return correct, p_true
-
-
-def _loo_prior(y):
-    """Empty feature set: each fold predicts the fold's class frequencies."""
-    classes, y_local = _local_labels(y)
-    n, m = len(y), len(classes)
-    counts = np.bincount(y_local, minlength=m).astype(float)
-    fold = np.tile(counts, (n, 1))
-    fold[np.arange(n), y_local] -= 1.0
-    priors = fold / (n - 1)
-    p_true = priors[np.arange(n), y_local]
-    correct = np.argmax(priors, axis=1) == y_local
-    return correct, p_true
-
-
-def _loo_nn1(X, y):
-    """All folds at once: the fold only removes the test point itself."""
-    classes, y_local = _local_labels(y)
-    n, m = len(y), len(classes)
-    sq = np.sum(X * X, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    d = np.sqrt(np.maximum(d2, 0.0))
-    np.fill_diagonal(d, np.inf)
-    dmin = np.empty((n, m))
-    for k in range(m):
-        dmin[:, k] = d[:, y_local == k].min(axis=1)
-    return _finish(-dmin, y_local)
-
-
-def _loo_ldc(X, y, ridge):
-    """Batched LDC folds via rank-1 scatter downdates and stacked pinv."""
-    classes, y_local = _local_labels(y)
-    n, k = X.shape
-    m = len(classes)
-    counts = np.bincount(y_local, minlength=m).astype(float)
-    sums = np.zeros((m, k))
-    np.add.at(sums, y_local, X)
-    means = sums / counts[:, None]
-    centered = X - means[y_local]
-    scatter = centered.T @ centered
-    w = counts[y_local] / (counts[y_local] - 1.0)
-    scatters = scatter[None, :, :] - w[:, None, None] * centered[:, :, None] * centered[:, None, :]
-    dof = max(1, (n - 1) - m)
-    covs = scatters / dof
-    trace = np.einsum("ijj->i", covs)
-    reg = ridge * trace / k + 1e-12
-    covs = covs + reg[:, None, None] * np.eye(k)[None, :, :]
-    prec = np.linalg.pinv(covs)
-    fold_means = np.broadcast_to(means, (n, m, k)).copy()
-    own = (sums[y_local] - X) / (counts[y_local] - 1.0)[:, None]
-    fold_means[np.arange(n), y_local] = own
-    fold_counts = np.tile(counts, (n, 1))
-    fold_counts[np.arange(n), y_local] -= 1.0
-    log_priors = np.log(fold_counts / (n - 1))
-    pm = np.einsum("imk,ikl->iml", fold_means, prec)
-    scores = (
-        np.einsum("ik,imk->im", X, pm)
-        - 0.5 * np.einsum("imk,imk->im", pm, fold_means)
-        + log_priors
-    )
-    return _finish(scores, y_local)
-
-
-def _loo_nb(X, y, var_floor_scale):
-    """Batched Gaussian naive Bayes folds via sum/sum-square downdates."""
-    classes, y_local = _local_labels(y)
-    n, k = X.shape
-    m = len(classes)
-    counts = np.bincount(y_local, minlength=m).astype(float)
-    s1 = np.zeros((m, k))
-    s2 = np.zeros((m, k))
-    np.add.at(s1, y_local, X)
-    np.add.at(s2, y_local, X * X)
-    base_mean = s1 / counts[:, None]
-    base_var = s2 / counts[:, None] - base_mean**2
-    fold_means = np.broadcast_to(base_mean, (n, m, k)).copy()
-    fold_vars = np.broadcast_to(base_var, (n, m, k)).copy()
-    own_n = (counts[y_local] - 1.0)[:, None]
-    own_mean = (s1[y_local] - X) / own_n
-    own_var = (s2[y_local] - X * X) / own_n - own_mean**2
-    rows = np.arange(n)
-    fold_means[rows, y_local] = own_mean
-    fold_vars[rows, y_local] = np.maximum(own_var, 0.0)
-    # per-fold feature ranges: drop row i from the column max/min
-    hi_idx = np.argmax(X, axis=0)
-    lo_idx = np.argmin(X, axis=0)
-    tmp = X.copy()
-    tmp[hi_idx, np.arange(k)] = -np.inf
-    hi2 = tmp.max(axis=0)
-    tmp = X.copy()
-    tmp[lo_idx, np.arange(k)] = np.inf
-    lo2 = tmp.min(axis=0)
-    fold_hi = np.where(rows[:, None] == hi_idx[None, :], hi2[None, :], X[hi_idx, np.arange(k)][None, :])
-    fold_lo = np.where(rows[:, None] == lo_idx[None, :], lo2[None, :], X[lo_idx, np.arange(k)][None, :])
-    span = fold_hi - fold_lo
-    floor = np.where(span > 0, var_floor_scale * span**2, 1.0)
-    fold_vars = np.maximum(fold_vars, floor[:, None, :])
-    fold_counts = np.tile(counts, (n, 1))
-    fold_counts[rows, y_local] -= 1.0
-    log_priors = np.log(fold_counts / (n - 1))
-    ll = -0.5 * (np.log(2.0 * math.pi * fold_vars) + (X[:, None, :] - fold_means) ** 2 / fold_vars).sum(axis=2)
-    return _finish(ll + log_priors, y_local)
+    return probs
 
 
 def smoothed_loo_value(kind, X: np.ndarray, y: np.ndarray, seed: int) -> float:
@@ -243,16 +102,16 @@ def smoothed_loo_value(kind, X: np.ndarray, y: np.ndarray, seed: int) -> float:
 
 def resubstitution_error(kind, probe: Dataset, subset=None, seed: int = 0) -> ErrorEstimate:
     """Error of the probe-trained model measured on the probe itself."""
-    cols = _columns(probe, subset)
+    cols = _subset_columns(subset, probe.n_features)
     X = probe.features[:, cols]
     model = _fit(_coerce_kind(kind), X, probe.label_indices, seed)
-    wrong = _predicted_indices(model, X) != probe.label_indices
+    wrong = predict_index(model, X) != probe.label_indices
     return ErrorEstimate(value=float(np.mean(wrong)), kind="RESUB", n_evaluations=1)
 
 
 def loo_error(kind, probe: Dataset, subset=None, seed: int = 0, smoothed: bool = False) -> ErrorEstimate:
     """Leave-one-out error on the probe; counting by default, smoothed on request."""
-    cols = _columns(probe, subset)
+    cols = _subset_columns(subset, probe.n_features)
     correct, p_true = loo_passes(kind, probe.features[:, cols], probe.label_indices, seed)
     if smoothed:
         return ErrorEstimate(
@@ -269,12 +128,12 @@ def holdout_true_error(kind, probe: Dataset, subset, holdout: Dataset, seed: int
         raise ValueError("holdout must be non-empty")
     if not set(holdout.class_names) <= set(probe.class_names):
         raise ValueError("holdout classes must be a subset of probe classes")
-    cols = _columns(probe, subset)
+    cols = _subset_columns(subset, probe.n_features)
     model = _fit(_coerce_kind(kind), probe.features[:, cols], probe.label_indices, seed)
     # align holdout label indices to the probe's class list
     probe_index = {c: k for k, c in enumerate(probe.class_names)}
     y_hold = np.array([probe_index[c] for c in holdout.labels], dtype=np.intp)
-    wrong = _predicted_indices(model, holdout.features[:, cols]) != y_hold
+    wrong = predict_index(model, holdout.features[:, cols]) != y_hold
     return ErrorEstimate(value=float(np.mean(wrong)), kind="HOLDOUT", n_evaluations=1)
 
 
@@ -300,7 +159,7 @@ def proper_rloo_error(kind, ranker, scheme, probe: Dataset, seed: int = 0):
         chosen = select(scheme, ranked, kind, fold, seed).subset
         cols = chosen.array
         model = _fit(kind, fold.features[:, cols], fold.label_indices, seed)
-        pred = _predicted_indices(model, probe.features[i][None, cols])[0]
+        pred = predict_index(model, probe.features[i][None, cols])[0]
         wrong += int(pred != probe.label_indices[i])
     ranked_full = None if scheme.tag == "ALL" else rank_features(ranker, probe, seed)
     final = select(scheme, ranked_full, kind, probe, seed)

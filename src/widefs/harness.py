@@ -11,6 +11,7 @@ file results from any worker count, and an interrupted run can resume.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import time
@@ -20,11 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifiers import CLASSIFIER_TAGS, classifier_kind
+from . import __version__
+from .classifiers import _KINDS, CLASSIFIER_TAGS, classifier_kind
 from .dataset import Dataset, FeatureSubset, load_csv, restrict_to_top2_classes, stratified_split
 from .estimators import holdout_true_error, loo_passes, resubstitution_error
 from .rankers import RANKER_TAGS, rank_features
-from .selectors import SELECTOR_TAGS, select, selection_scheme
+from .selectors import SELECTOR_TAGS, _resolve_best, select, selection_scheme
 from .utils import stable_seed
 
 log = logging.getLogger("widefs.harness")
@@ -236,23 +238,51 @@ def _load_completed(path: Path):
     return completed, clean
 
 
+def _config_sha256(config: GridConfig) -> str:
+    """Fingerprint of everything that decides a grid's records, with the
+    hyperparameters resolved; ``record_timing`` only fills ``duration``."""
+    description = {
+        "datasets": [
+            [d.name, d.feature_names, list(d.labels), hashlib.sha256(d.features.tobytes()).hexdigest()]
+            for d in config.datasets
+        ],
+        "per_class": config.per_class,
+        "runs": config.runs,
+        "tags": [config.classifiers, config.rankers, config.selectors],
+        "master_seed": config.master_seed,
+        "hyperparams": [
+            classifier_kind(c, **config.classifier_overrides(c)).hyperparams for c in config.classifiers
+        ],
+        "version": __version__,
+    }
+    return hashlib.sha256(json.dumps(description).encode("utf-8")).hexdigest()
+
+
 def run_grid(config: GridConfig, out_path=None, workers: int = 1, resume: bool = False) -> list[RunRecord]:
     """Run the whole grid; returns records in canonical cell order.
 
     With ``out_path`` every record is appended as one JSON line the moment
     all earlier cells are written, so the file is always a canonical
-    prefix.  ``resume`` skips cells already present in the file.
+    prefix.  A fresh file gets a sidecar ``<out_path>.meta.json`` holding
+    the configuration's fingerprint.  ``resume`` skips cells already
+    present in the file; it raises ValueError, leaving the file untouched,
+    when the sidecar names another configuration.
     """
     completed: dict = {}
     fh = None
     if out_path is not None:
         out_path = Path(out_path)
+        meta_path = out_path.with_name(out_path.name + ".meta.json")
+        fingerprint = _config_sha256(config)
         if resume and out_path.exists():
+            if meta_path.exists() and json.loads(meta_path.read_text(encoding="utf-8")).get("sha256") != fingerprint:
+                raise ValueError(f"{out_path} holds records of another grid configuration; not resuming")
             completed, clean = _load_completed(out_path)
             with open(out_path, "rb+") as trunc:
                 trunc.truncate(clean)
             fh = open(out_path, "a", encoding="utf-8")
         else:
+            meta_path.write_text(json.dumps({"sha256": fingerprint}) + "\n", encoding="utf-8")
             fh = open(out_path, "w", encoding="utf-8")
     units = [
         (ds_index, run)
@@ -289,7 +319,7 @@ def run_grid(config: GridConfig, out_path=None, workers: int = 1, resume: bool =
                     fh.flush()
     finally:
         if pool is not None:
-            pool.shutdown()
+            pool.shutdown(cancel_futures=True)
         if fh is not None:
             fh.close()
     return all_records
@@ -351,6 +381,8 @@ class CaseStudyBundle:
     ``subsets`` holds 1-based rank positions into ``top_features`` (the
     paper-style numbering); the error arrays align with it.  ``best``
     maps estimator name to its tie-resolved winning subset and errors.
+    ``n_trainings`` is the protocol budget (resubstitution, holdout, every LOO
+    fold); ``n_fits`` counts fits made, without the folds of a closed-form LOO.
     """
 
     dataset: str
@@ -367,6 +399,7 @@ class CaseStudyBundle:
     best: dict = field(default_factory=dict)
     all_features_true: float = 0.0
     n_trainings: int = 0
+    n_fits: int = 0
 
     def scatter_panels(self):
         return [
@@ -391,18 +424,8 @@ class CaseStudyBundle:
             "best": self.best,
             "all_features_true": self.all_features_true,
             "n_trainings": self.n_trainings,
+            "n_fits": self.n_fits,
         }
-
-
-def _resolve_best(values: np.ndarray, subsets, rng) -> int:
-    """Index of the minimum; ties to smallest cardinality, then one draw."""
-    best = values.min()
-    tied = [i for i in np.flatnonzero(values == best)]
-    min_card = min(len(subsets[i]) for i in tied)
-    shortlist = [i for i in tied if len(subsets[i]) == min_card]
-    if len(shortlist) == 1:
-        return shortlist[0]
-    return shortlist[int(rng.integers(len(shortlist)))]
 
 
 def sonar_case_study(
@@ -432,7 +455,6 @@ def sonar_case_study(
     loo = np.empty(n_subsets)
     sloo = np.empty(n_subsets)
     true = np.empty(n_subsets)
-    n_trainings = 0
     for mask in range(1, 1 << pool):
         positions = tuple(j + 1 for j in range(pool) if mask >> j & 1)
         cols = FeatureSubset(tuple(top[j - 1] for j in positions))
@@ -443,7 +465,6 @@ def sonar_case_study(
         loo[i] = float(np.mean(~correct))
         sloo[i] = float(np.mean(1.0 - p_true))
         true[i] = holdout_true_error(kind, probe, cols, holdout, train_seed).value
-        n_trainings += 2 + len(correct)
     bundle = CaseStudyBundle(
         dataset=data.name,
         probe_seed=probe_seed,
@@ -456,7 +477,8 @@ def sonar_case_study(
         loo=loo,
         sloo=sloo,
         true=true,
-        n_trainings=n_trainings,
+        n_trainings=n_subsets * (2 + probe.n_instances),
+        n_fits=n_subsets * (2 + (0 if _KINDS[kind.tag].loo else probe.n_instances)),
     )
     rng = np.random.default_rng(stable_seed(probe_seed, "ties"))
     for label, values in (("RESUB", resub), ("LOO", loo), ("SLOO", sloo), ("TRUE", true)):

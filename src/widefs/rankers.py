@@ -23,7 +23,7 @@ import numpy as np
 
 from .classifiers import _fit, classifier_kind, linear_svm_weights
 from .dataset import Dataset, FeatureSubset
-from .utils import canonical_order, entropy_bits
+from .utils import canonical_order, entropy_bits, local_labels
 
 RANKER_TAGS = ("SU", "RF_IMP", "RELIEFF", "SVM_W", "SVM_RFE")
 
@@ -104,11 +104,9 @@ def equal_frequency_bins(x: np.ndarray, n_bins: int) -> np.ndarray:
 
 def symmetrical_uncertainty(x_bins: np.ndarray, y: np.ndarray) -> float:
     """SU = 2 I(X;Y) / (H(X) + H(Y)), in [0, 1]; 0 when either side is constant."""
-    xs = np.unique(x_bins)
-    ys = np.unique(y)
+    xs, xi = local_labels(x_bins)
+    ys, yi = local_labels(y)
     joint = np.zeros((len(xs), len(ys)))
-    xi = np.searchsorted(xs, x_bins)
-    yi = np.searchsorted(ys, y)
     np.add.at(joint, (xi, yi), 1.0)
     hx = float(entropy_bits(joint.sum(axis=1)))
     hy = float(entropy_bits(joint.sum(axis=0)))

@@ -115,13 +115,19 @@ def select(scheme, ranked: RankedList | None, kind, probe: Dataset, seed: int, c
             cache[key] = value
         values[ordinal] = value
     best = float(values.min())
-    tied = [candidates[i] for i in np.flatnonzero(values == best)]
+    return SelectionResult(
+        subset=FeatureSubset(candidates[_resolve_best(values, candidates, rng)]),
+        criterion=ErrorEstimate(value=best, kind="SLOO", n_evaluations=probe.n_instances),
+        evaluations=len(candidates),
+        candidates_tied=int(np.count_nonzero(values == best)),
+    )
+
+
+def _resolve_best(values: np.ndarray, candidates, rng) -> int:
+    """Index of the winning candidate: the minimum of ``values``, ties to the
+    smallest cardinality, then one draw among the distinct tied candidates."""
+    tied = [candidates[i] for i in np.flatnonzero(values == values.min())]
     min_card = min(len(c) for c in tied)
     shortlist = list(dict.fromkeys(c for c in tied if len(c) == min_card))
     winner = shortlist[0] if len(shortlist) == 1 else shortlist[int(rng.integers(len(shortlist)))]
-    return SelectionResult(
-        subset=FeatureSubset(winner),
-        criterion=ErrorEstimate(value=best, kind="SLOO", n_evaluations=probe.n_instances),
-        evaluations=len(candidates),
-        candidates_tied=len(tied),
-    )
+    return candidates.index(winner)

@@ -1,4 +1,4 @@
-"""Shared helpers: seed derivation, canonical row ordering, entropy."""
+"""Shared helpers: seed derivation, canonical row ordering, local labels, entropy."""
 
 from __future__ import annotations
 
@@ -41,3 +41,9 @@ def canonical_order(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     keys = [y] + [X[:, j] for j in range(X.shape[1] - 1, -1, -1)]
     return np.lexsort(keys)
+
+
+def local_labels(y: np.ndarray):
+    """Distinct values of ``y`` (ascending) and each row's position among them."""
+    classes = np.unique(y)
+    return classes, np.searchsorted(classes, y)

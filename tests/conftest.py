@@ -19,6 +19,14 @@ def sonar_surrogate():
 
 
 @pytest.fixture(scope="session")
+def shipped():
+    """The shipped datasets of the manifest, by name."""
+    from widefs.harness import load_manifest
+
+    return {d.name: d for d in load_manifest(DATA / "manifest.csv")}
+
+
+@pytest.fixture(scope="session")
 def desk_grid():
     """The in-repo reduced benchmark: 2 datasets x (LDC, SVML) x (SU, RELIEFF)
     x (TOP3, EX10, RND20) x 3 runs, shared across acceptance checks."""

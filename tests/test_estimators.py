@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from widefs.dataset import Dataset, FeatureSubset, generate_gaussian_dataset
+from widefs.classifiers import _fit, classifier_kind, predict_index, predict_proba
+from widefs.dataset import Dataset, FeatureSubset, generate_gaussian_dataset, stratified_split
 from widefs.estimators import (
     ErrorEstimate,
     holdout_true_error,
     loo_error,
+    loo_passes,
     proper_rloo_error,
     resubstitution_error,
 )
@@ -79,6 +81,49 @@ class TestLeaveOneOut:
         d = labeled([[0.0], [0.1], [5.0], [5.1], [4.9]], ["A", "A", "B", "B", "B"])
         est = loo_error("LDC", d, None, 0)
         assert 0.0 <= est.value <= 1.0
+
+
+class TestClosedFormLooOracle:
+    """The batched all-folds LOO of NN1, LDC and NB against a fold-by-fold
+    refit.  At 20 or more columns the 20-row probe has k >= n, so LDC runs
+    in its pseudo-inverse regime."""
+
+    @staticmethod
+    def refit_folds(kind, X, y, seed):
+        correct, p_true = [], []
+        for i in range(len(y)):
+            keep = np.arange(len(y)) != i
+            model = _fit(classifier_kind(kind), X[keep], y[keep], seed)
+            probs = predict_proba(model, X[i])
+            p_true.append(probs[list(model.classes).index(y[i])] if y[i] in model.classes else 0.0)
+            correct.append(predict_index(model, X[i]) == y[i])
+        return np.array(correct), np.array(p_true)
+
+    def check(self, kind, probe, cols, seed):
+        X, y = probe.features[:, cols], probe.label_indices
+        correct, p_true = loo_passes(kind, X, y, seed)
+        ref_correct, ref_p_true = self.refit_folds(kind, X, y, seed)
+        np.testing.assert_array_equal(correct, ref_correct)
+        np.testing.assert_allclose(p_true, ref_p_true, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("tag", ["NN1", "LDC", "NB"])
+    @pytest.mark.parametrize("name", ["sonar_surrogate", "gauss_wide"])
+    def test_matches_refit(self, tag, name, shipped):
+        data = shipped[name]
+        sizes = (1, 2, 3, 5, 10, 20, 60) + ((200,) if name == "gauss_wide" else ())
+        for seed in (1, 2):
+            probe = stratified_split(data, 10, seed).probe
+            rng = np.random.default_rng(seed)
+            for size in sizes:
+                cols = np.sort(rng.choice(data.n_features, size=size, replace=False))
+                self.check(tag, probe, cols, seed)
+
+    @pytest.mark.parametrize("tag", ["NN1", "LDC", "NB"])
+    def test_singleton_class_probe(self, tag, shipped):
+        probe = stratified_split(shipped["sonar_surrogate"], 10, 3).probe
+        rows = np.concatenate([np.flatnonzero(probe.label_indices == 0),
+                               np.flatnonzero(probe.label_indices == 1)[:1]])
+        self.check(tag, probe.take_rows(rows), np.arange(5), 3)
 
 
 class TestHoldout:

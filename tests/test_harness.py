@@ -120,6 +120,38 @@ class TestResume:
         assert [r.key for r in first] == [r.key for r in again]
         assert path.read_bytes().count(b"\n") == len(first)
 
+    def test_resume_refuses_another_configuration(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        run_grid(tiny_config(runs=1), out_path=path)
+        before = path.read_bytes()
+        other = tiny_config(runs=1, master_seed=100, hyperparams=(("ldc.ridge", 0.5),))
+        with pytest.raises(ValueError, match="another grid configuration"):
+            run_grid(other, out_path=path, resume=True)
+        assert path.read_bytes() == before
+
+    def test_interrupted_parallel_grid_resumes(self, tmp_path, monkeypatch):
+        cfg = tiny_config()
+        fresh = tmp_path / "fresh.jsonl"
+        run_grid(cfg, out_path=fresh)
+        cells_per_unit = len(cfg.classifiers) * (1 + len(cfg.rankers) * len(cfg.selectors))
+        to_json = RunRecord.to_json
+        written = []
+
+        def fail_after_first_unit(record):
+            if len(written) == cells_per_unit:
+                raise RuntimeError("interrupted")
+            written.append(record)
+            return to_json(record)
+
+        monkeypatch.setattr(RunRecord, "to_json", fail_after_first_unit)
+        path = tmp_path / "r.jsonl"
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run_grid(cfg, out_path=path, workers=2)
+        monkeypatch.undo()
+        assert path.read_bytes().count(b"\n") == cells_per_unit
+        run_grid(cfg, out_path=path, resume=True)
+        assert path.read_bytes() == fresh.read_bytes()
+
 
 class TestErrorRows:
     def test_failed_split_recorded_not_raised(self):
@@ -216,6 +248,11 @@ class TestCaseStudy:
         # per subset: one probe fit (resub + holdout) reuse is not assumed;
         # 2 direct fits plus 20 fold fits
         assert bundle.n_trainings == 1023 * 22
+
+    def test_fits_made_accounted(self, bundle):
+        # LDC's leave-one-out is closed-form: only the two direct fits run
+        assert bundle.n_fits == 1023 * 2
+        assert bundle.to_json_dict()["n_fits"] == bundle.n_fits
 
     def test_json_dict_serializable(self, bundle):
         blob = json.dumps(bundle.to_json_dict())

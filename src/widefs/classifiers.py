@@ -328,8 +328,9 @@ def _smo_solve_small(K, y, c, tol):
 
 
 def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of A and of B (may dip below 0)."""
-    return np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :] - 2.0 * (A @ B.T)
+    """Squared Euclidean distances between the rows of A and of B, per matrix
+    of a stack (..., rows, k) (may dip below 0)."""
+    return np.sum(A * A, axis=-1)[..., :, None] + np.sum(B * B, axis=-1)[..., None, :] - 2.0 * (A @ B.swapaxes(-1, -2))
 
 
 def _rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
@@ -417,9 +418,9 @@ def _proba_matrix(model: TrainedModel, X: np.ndarray) -> np.ndarray:
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
+    shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def predict_index(model: TrainedModel, x) -> np.ndarray | int:
@@ -452,9 +453,11 @@ class _Kind:
     All see rows in canonical order and local labels y in 0..m-1.
     ``fit(X, y, priors, params, seed)`` returns the model state (m >= 2, at
     least one column); ``proba(state, X, m)`` returns (n, m) posteriors;
-    ``loo(X, y, m, params)`` returns every row's posterior under the model
-    fitted without it, given 2+ rows per class, and must equal the
-    fold-by-fold refit that runs where it is None.
+    ``loo(X, y, m, params)`` takes a stack of candidate subsets, X (B, n, k)
+    and y (B, n) with each candidate's rows in its own canonical order, and
+    returns (B, n, m): every row's posterior under the model fitted without
+    it, given 2+ rows per class.  It must equal the fold-by-fold refit that
+    runs where it is None.
     """
 
     defaults: dict
@@ -467,26 +470,24 @@ def _fit_nn1(X, y, priors, params, seed):
     return ("nn1", X, y)
 
 
+def _nn1_posteriors(d, y, m):
+    """Softmax over negated per-class nearest distances; d (..., rows, n_train)
+    holds distances to the training rows, y (..., n_train) their labels."""
+    dmin = [np.where(y[..., None, :] == k, d, np.inf).min(axis=-1) for k in range(m)]
+    return _softmax(-np.stack(dmin, axis=-1))
+
+
 def _proba_nn1(state, X, m):
     _, Xt, yt = state
-    d = np.sqrt(np.maximum(_sq_dists(X, Xt), 0.0))
-    dmin = np.full((X.shape[0], m), np.inf)
-    for k in range(m):
-        dmin[:, k] = d[:, yt == k].min(axis=1)
-    return _softmax(-dmin)
+    return _nn1_posteriors(np.sqrt(np.maximum(_sq_dists(X, Xt), 0.0)), yt, m)
 
 
 def _loo_nn1(X, y, m, params):
     """All folds at once: the fold only removes the test point itself."""
-    n = len(y)
-    sq = np.sum(X * X, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    d = np.sqrt(np.maximum(d2, 0.0))
-    np.fill_diagonal(d, np.inf)
-    dmin = np.empty((n, m))
-    for k in range(m):
-        dmin[:, k] = d[:, y == k].min(axis=1)
-    return _softmax(-dmin)
+    n = X.shape[1]
+    d = np.sqrt(np.maximum(_sq_dists(X, X), 0.0))
+    d[:, np.arange(n), np.arange(n)] = np.inf
+    return _nn1_posteriors(d, y, m)
 
 
 def _fit_dt(X, y, priors, params, seed):
@@ -515,33 +516,52 @@ def _proba_ldc(state, X, m):
     return _softmax(scores)
 
 
+def _class_sums(X, y, m):
+    """(B, m, k) per-class column sums of a stack, accumulated in row order."""
+    sums = np.zeros((X.shape[0], m, X.shape[2]))
+    np.add.at(sums, (np.arange(X.shape[0])[:, None], y), X)
+    return sums
+
+
+def _fold_counts(y, m):
+    """Class counts (B, m) of a stack and, per fold, without the left-out row (B, n, m)."""
+    onehot = y[..., None] == np.arange(m)
+    counts = onehot.sum(axis=1).astype(float)
+    return counts, counts[:, None, :] - onehot
+
+
+def _fold_stats(base, own, y):
+    """(B, n, m, k): per-class statistics ``base`` (B, m, k) as each fold sees
+    them, the left-out row's class replaced by that fold's ``own`` (B, n, k)."""
+    out = np.repeat(base[:, None], y.shape[1], axis=1)
+    np.put_along_axis(out, y[..., None, None], own[:, :, None], axis=2)
+    return out
+
+
 def _loo_ldc(X, y, m, params):
     """Batched LDC folds via rank-1 scatter downdates and stacked pinv."""
-    n, k = X.shape
-    counts = np.bincount(y, minlength=m).astype(float)
-    sums = np.zeros((m, k))
-    np.add.at(sums, y, X)
-    means = sums / counts[:, None]
-    centered = X - means[y]
-    scatter = centered.T @ centered
-    w = counts[y] / (counts[y] - 1.0)
-    scatters = scatter[None, :, :] - w[:, None, None] * centered[:, :, None] * centered[:, None, :]
+    n, k = X.shape[1:]
+    counts, fold_counts = _fold_counts(y, m)
+    own_counts = np.take_along_axis(counts, y, axis=1)
+    sums = _class_sums(X, y, m)
+    means = sums / counts[..., None]
+    centered = X - np.take_along_axis(means, y[..., None], axis=1)
+    scatter = centered.swapaxes(1, 2) @ centered
+    w = own_counts / (own_counts - 1.0)
+    scatters = scatter[:, None] - w[..., None, None] * centered[..., :, None] * centered[..., None, :]
     dof = max(1, (n - 1) - m)
     covs = scatters / dof
-    trace = np.einsum("ijj->i", covs)
+    trace = np.einsum("bijj->bi", covs)
     reg = params["ridge"] * trace / k + 1e-12
-    covs = covs + reg[:, None, None] * np.eye(k)[None, :, :]
+    covs = covs + reg[..., None, None] * np.eye(k)
     prec = np.linalg.pinv(covs)
-    fold_means = np.broadcast_to(means, (n, m, k)).copy()
-    own = (sums[y] - X) / (counts[y] - 1.0)[:, None]
-    fold_means[np.arange(n), y] = own
-    fold_counts = np.tile(counts, (n, 1))
-    fold_counts[np.arange(n), y] -= 1.0
+    own = (np.take_along_axis(sums, y[..., None], axis=1) - X) / (own_counts - 1.0)[..., None]
+    fold_means = _fold_stats(means, own, y)
     log_priors = np.log(fold_counts / (n - 1))
-    pm = np.einsum("imk,ikl->iml", fold_means, prec)
+    pm = np.einsum("bimk,bikl->biml", fold_means, prec)
     scores = (
-        np.einsum("ik,imk->im", X, pm)
-        - 0.5 * np.einsum("imk,imk->im", pm, fold_means)
+        np.einsum("bik,bimk->bim", X, pm)
+        - 0.5 * np.einsum("bimk,bimk->bim", pm, fold_means)
         + log_priors
     )
     return _softmax(scores)
@@ -568,40 +588,32 @@ def _proba_nb(state, X, m):
 
 def _loo_nb(X, y, m, params):
     """Batched Gaussian naive Bayes folds via sum/sum-square downdates."""
-    n, k = X.shape
-    counts = np.bincount(y, minlength=m).astype(float)
-    s1 = np.zeros((m, k))
-    s2 = np.zeros((m, k))
-    np.add.at(s1, y, X)
-    np.add.at(s2, y, X * X)
-    base_mean = s1 / counts[:, None]
-    base_var = s2 / counts[:, None] - base_mean**2
-    fold_means = np.broadcast_to(base_mean, (n, m, k)).copy()
-    fold_vars = np.broadcast_to(base_var, (n, m, k)).copy()
-    own_n = (counts[y] - 1.0)[:, None]
-    own_mean = (s1[y] - X) / own_n
-    own_var = (s2[y] - X * X) / own_n - own_mean**2
-    rows = np.arange(n)
-    fold_means[rows, y] = own_mean
-    fold_vars[rows, y] = np.maximum(own_var, 0.0)
+    n = X.shape[1]
+    counts, fold_counts = _fold_counts(y, m)
+    s1 = _class_sums(X, y, m)
+    s2 = _class_sums(X * X, y, m)
+    base_mean = s1 / counts[..., None]
+    base_var = s2 / counts[..., None] - base_mean**2
+    own_n = (np.take_along_axis(counts, y, axis=1) - 1.0)[..., None]
+    own_mean = (np.take_along_axis(s1, y[..., None], axis=1) - X) / own_n
+    own_var = (np.take_along_axis(s2, y[..., None], axis=1) - X * X) / own_n - own_mean**2
+    fold_means = _fold_stats(base_mean, own_mean, y)
+    fold_vars = _fold_stats(base_var, np.maximum(own_var, 0.0), y)
     # per-fold feature ranges: drop row i from the column max/min
-    hi_idx = np.argmax(X, axis=0)
-    lo_idx = np.argmin(X, axis=0)
+    rows = np.arange(n)[:, None]
+    hi_idx = np.argmax(X, axis=1)[:, None]
+    lo_idx = np.argmin(X, axis=1)[:, None]
     tmp = X.copy()
-    tmp[hi_idx, np.arange(k)] = -np.inf
-    hi2 = tmp.max(axis=0)
+    np.put_along_axis(tmp, hi_idx, -np.inf, axis=1)
+    fold_hi = np.where(rows == hi_idx, tmp.max(axis=1)[:, None], np.take_along_axis(X, hi_idx, axis=1))
     tmp = X.copy()
-    tmp[lo_idx, np.arange(k)] = np.inf
-    lo2 = tmp.min(axis=0)
-    fold_hi = np.where(rows[:, None] == hi_idx[None, :], hi2[None, :], X[hi_idx, np.arange(k)][None, :])
-    fold_lo = np.where(rows[:, None] == lo_idx[None, :], lo2[None, :], X[lo_idx, np.arange(k)][None, :])
+    np.put_along_axis(tmp, lo_idx, np.inf, axis=1)
+    fold_lo = np.where(rows == lo_idx, tmp.min(axis=1)[:, None], np.take_along_axis(X, lo_idx, axis=1))
     span = fold_hi - fold_lo
     floor = np.where(span > 0, params["var_floor_scale"] * span**2, 1.0)
-    fold_vars = np.maximum(fold_vars, floor[:, None, :])
-    fold_counts = np.tile(counts, (n, 1))
-    fold_counts[rows, y] -= 1.0
+    fold_vars = np.maximum(fold_vars, floor[:, :, None, :])
     log_priors = np.log(fold_counts / (n - 1))
-    ll = -0.5 * (np.log(2.0 * math.pi * fold_vars) + (X[:, None, :] - fold_means) ** 2 / fold_vars).sum(axis=2)
+    ll = -0.5 * (np.log(2.0 * math.pi * fold_vars) + (X[:, :, None, :] - fold_means) ** 2 / fold_vars).sum(axis=3)
     return _softmax(ll + log_priors)
 
 

@@ -143,7 +143,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bench", help="run the classifier x ranker x selector grid")
     p.add_argument("--manifest", required=True, help="dataset manifest: name,path,instances,features")
     p.add_argument("--out", required=True, help="results JSONL path")
-    p.add_argument("--workers", type=int, default=int(os.environ.get("WIDEFS_WORKERS", "1")))
+    # a string default is converted by ``type`` only when bench is parsed
+    p.add_argument("--workers", type=int, default=os.environ.get("WIDEFS_WORKERS", "1"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--classifiers", default=",".join(CLASSIFIER_TAGS))
     p.add_argument("--rankers", default=",".join(RANKER_TAGS))

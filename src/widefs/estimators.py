@@ -11,6 +11,12 @@ Estimate kinds:
   HOLDOUT  counting error of the probe-trained model on withheld data,
            the working proxy for the unknowable population error
 
+The leave-one-out estimators share one criterion path,
+:func:`stacked_loo_passes`: it scores a list of candidate subsets at once,
+de-duplicated and grouped by cardinality into stacks of at most
+``_STACK`` candidates.  Each candidate keeps its own canonical row order,
+so a stacked value is byte-identical to scoring the candidate alone.
+
 The conceptual population-level quantities (the error of the truly best
 subset, and of the best subset identifiable from an N-sample) are not
 computable objects and exist only as documentation.
@@ -19,6 +25,7 @@ computable objects and exist only as documentation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -27,6 +34,10 @@ from .dataset import Dataset
 from .utils import canonical_order, local_labels
 
 ESTIMATE_KINDS = ("RESUB", "LOO", "SLOO", "RLOO", "HOLDOUT")
+
+# candidates per stack; bounds the (B, n, k, k) LDC fold covariances, and
+# so peak memory, without giving up batching
+_STACK = 16
 
 
 @dataclass(frozen=True)
@@ -49,34 +60,55 @@ class ErrorEstimate:
             raise ValueError(f"error value {self.value} outside [0, 1]")
 
 
-def loo_passes(kind, X: np.ndarray, y: np.ndarray, seed: int):
-    """Per-fold (correct?, posterior of true class) over all leave-one-out folds.
+def stacked_loo_passes(kind, X: np.ndarray, y: np.ndarray, candidates, seed: int):
+    """Per-fold (correct?, posterior of true class) over all leave-one-out
+    folds of every candidate: two (B, n) arrays, one row per entry of
+    ``candidates`` (tuples of column indices of X), rows in probe order.
 
     A fold whose training part loses a class entirely is still trained on
     what remains; the held-out instance then has true-class posterior 0.
     The prior-only empty-subset model, and kinds whose table entry has a
-    closed-form leave-one-out, compute all folds at once; the rest refit
-    fold by fold.
+    closed-form leave-one-out, compute all folds of a stack at once; the
+    rest refit fold by fold.
     """
     kind = _coerce_kind(kind)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.intp)
-    order = canonical_order(X, y)
-    Xc, yc = X[order], y[order]
-    classes, y_local = local_labels(yc)
-    counts = np.bincount(y_local)
+    classes, y_local = local_labels(y)
+    n, m = len(y), len(classes)
     loo = _KINDS[kind.tag].loo
-    if X.shape[1] == 0:  # each fold predicts its own class frequencies
-        probs = (counts - np.eye(len(classes))[y_local]) / (len(yc) - 1)
-    elif counts.min() < 2 or loo is None:
-        probs = _loo_refit(kind, Xc, yc, classes, seed)
-    else:
-        probs = loo(Xc, y_local, len(classes), dict(kind.hyperparams))
-    correct = np.empty(len(yc), dtype=bool)
-    p_true = np.empty(len(yc))
-    correct[order] = np.argmax(probs, axis=1) == y_local
-    p_true[order] = probs[np.arange(len(yc)), y_local]
-    return correct, p_true
+    refit = np.bincount(y_local).min() < 2 or loo is None
+    unique = sorted(dict.fromkeys(tuple(c) for c in candidates), key=len)
+    correct = np.empty((len(unique), n), dtype=bool)
+    p_true = np.empty((len(unique), n))
+    start = 0
+    for _, group in groupby(unique, key=len):
+        group = list(group)
+        for first in range(0, len(group), _STACK):
+            cols = np.array(group[first:first + _STACK], dtype=np.intp)
+            Xs = X.T[cols].swapaxes(1, 2)  # (b, n, k)
+            order = canonical_order(Xs, y_local)
+            Xc = np.take_along_axis(Xs, order[..., None], axis=1)
+            yc = y_local[order]
+            if cols.shape[1] == 0:  # each fold predicts its own class frequencies
+                probs = (np.bincount(y_local) - (yc[..., None] == np.arange(m))) / (n - 1)
+            elif refit:
+                probs = np.stack([_loo_refit(kind, Xb, classes[yb], classes, seed) for Xb, yb in zip(Xc, yc)])
+            else:
+                probs = loo(Xc, yc, m, dict(kind.hyperparams))
+            rows = slice(start, start + len(cols))
+            np.put_along_axis(correct[rows], order, np.argmax(probs, axis=-1) == yc, axis=1)
+            np.put_along_axis(p_true[rows], order, np.take_along_axis(probs, yc[..., None], axis=-1)[..., 0], axis=1)
+            start += len(cols)
+    where = {c: i for i, c in enumerate(unique)}
+    pick = [where[tuple(c)] for c in candidates]
+    return correct[pick], p_true[pick]
+
+
+def loo_passes(kind, X: np.ndarray, y: np.ndarray, seed: int):
+    """Per-fold (correct?, posterior of true class) of the model on all of X."""
+    correct, p_true = stacked_loo_passes(kind, X, y, [tuple(range(np.shape(X)[1]))], seed)
+    return correct[0], p_true[0]
 
 
 def _loo_refit(kind, X, y, classes, seed):
@@ -94,10 +126,10 @@ def _loo_refit(kind, X, y, classes, seed):
     return probs
 
 
-def smoothed_loo_value(kind, X: np.ndarray, y: np.ndarray, seed: int) -> float:
-    """Smoothed leave-one-out error on pre-sliced arrays (selection hot path)."""
-    _, p_true = loo_passes(kind, X, y, seed)
-    return float(np.mean(1.0 - p_true))
+def smoothed_loo_value(kind, X: np.ndarray, y: np.ndarray, candidates, seed: int) -> np.ndarray:
+    """Smoothed leave-one-out error of each candidate subset (selection hot path)."""
+    _, p_true = stacked_loo_passes(kind, X, y, candidates, seed)
+    return np.mean(1.0 - p_true, axis=1)
 
 
 def resubstitution_error(kind, probe: Dataset, subset=None, seed: int = 0) -> ErrorEstimate:

@@ -4,7 +4,7 @@ exhaustive small-pool case study.
 Every grid cell is keyed (dataset, run, classifier, ranker, selector) and
 seeded as hash(master seed, dataset name, run), so single cells are
 reproducible in isolation.  Cells of one (dataset, run) share the probe
-sample, the per-ranker rankings, and (per classifier) a criterion cache.
+sample and the per-ranker rankings.
 Results stream to JSON-lines in canonical cell order; a byte-identical
 file results from any worker count, and an interrupted run can resume.
 """
@@ -15,7 +15,6 @@ import hashlib
 import json
 import logging
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,7 +23,7 @@ import numpy as np
 from . import __version__
 from .classifiers import _KINDS, CLASSIFIER_TAGS, classifier_kind
 from .dataset import Dataset, FeatureSubset, load_csv, restrict_to_top2_classes, stratified_split
-from .estimators import holdout_true_error, loo_passes, resubstitution_error
+from .estimators import holdout_true_error, resubstitution_error, stacked_loo_passes
 from .rankers import RANKER_TAGS, rank_features
 from .selectors import SELECTOR_TAGS, _resolve_best, select, selection_scheme
 from .utils import stable_seed
@@ -188,7 +187,6 @@ def _run_unit(config: GridConfig, ds_index: int, run: int) -> list[RunRecord]:
     for ctag in config.classifiers:
         kind = classifier_kind(ctag, **config.classifier_overrides(ctag))
         sel_seed = stable_seed(seed, "select", ctag)
-        cache: dict = {}
         for key in cells:
             if key[2] != ctag:
                 continue
@@ -199,7 +197,7 @@ def _run_unit(config: GridConfig, ds_index: int, run: int) -> list[RunRecord]:
             t0 = time.perf_counter() if config.record_timing else 0.0
             try:
                 ranked = None if rtag is None else rankings[rtag]
-                result = select(selection_scheme(stag), ranked, kind, probe, sel_seed, cache=cache)
+                result = select(selection_scheme(stag), ranked, kind, probe, sel_seed)
                 truth = holdout_true_error(kind, probe, result.subset, holdout, sel_seed)
                 records.append(
                     RunRecord(
@@ -295,7 +293,11 @@ def run_grid(config: GridConfig, out_path=None, workers: int = 1, resume: bool =
 
     pending = [u for u in units if not unit_done(*u)]
     all_records = []
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 and pending else None
+    pool = None
+    if workers > 1 and pending:
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers)
     try:
         futures = {u: pool.submit(_run_unit, config, *u) for u in pending} if pool else {}
         for u in units:
@@ -450,21 +452,15 @@ def sonar_case_study(
     kind = classifier_kind(classifier)
     train_seed = stable_seed(probe_seed, "train", classifier)
     n_subsets = (1 << pool) - 1
-    subsets = []
-    resub = np.empty(n_subsets)
-    loo = np.empty(n_subsets)
-    sloo = np.empty(n_subsets)
-    true = np.empty(n_subsets)
-    for mask in range(1, 1 << pool):
-        positions = tuple(j + 1 for j in range(pool) if mask >> j & 1)
-        cols = FeatureSubset(tuple(top[j - 1] for j in positions))
-        subsets.append(positions)
-        i = mask - 1
-        resub[i] = resubstitution_error(kind, probe, cols, train_seed).value
-        correct, p_true = loo_passes(kind, probe.features[:, cols.array], probe.label_indices, train_seed)
-        loo[i] = float(np.mean(~correct))
-        sloo[i] = float(np.mean(1.0 - p_true))
-        true[i] = holdout_true_error(kind, probe, cols, holdout, train_seed).value
+    subsets = [tuple(j + 1 for j in range(pool) if mask >> j & 1) for mask in range(1, 1 << pool)]
+    columns = [FeatureSubset(tuple(top[j - 1] for j in positions)) for positions in subsets]
+    resub = np.array([resubstitution_error(kind, probe, cols, train_seed).value for cols in columns])
+    correct, p_true = stacked_loo_passes(
+        kind, probe.features, probe.label_indices, [cols.indices for cols in columns], train_seed
+    )
+    loo = np.mean(~correct, axis=1)
+    sloo = np.mean(1.0 - p_true, axis=1)
+    true = np.array([holdout_true_error(kind, probe, cols, holdout, train_seed).value for cols in columns])
     bundle = CaseStudyBundle(
         dataset=data.name,
         probe_seed=probe_seed,

@@ -9,9 +9,9 @@ of the target classifier on the probe.  Fixed evaluation budgets:
   RND20                     1024 random masks over the top 20, p=0.5 each
 
 Ties at the minimum criterion are resolved to the smallest cardinality,
-then by one uniform draw from the selection seed stream.  Candidate
-criterion values may be cached across calls that share (classifier,
-probe, seed): the cache never changes results, only avoids re-training.
+then by one uniform draw from the selection seed stream.  All candidates
+of one call are scored by one stacked criterion call, which evaluates a
+repeated candidate once.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def selection_scheme(tag) -> SelectionScheme:
 class SelectionResult:
     """Winner of a selection run plus its bookkeeping.
 
-    ``evaluations`` equals the scheme budget (cache hits included);
+    ``evaluations`` equals the scheme budget (repeated candidates included);
     ``candidates_tied`` counts evaluated candidates at the minimum.
     """
 
@@ -94,26 +94,14 @@ def _candidate_subsets(scheme: SelectionScheme, ranked: RankedList | None, n_fea
     return [tuple(np.asarray(pool)[row]) for row in draws]
 
 
-def select(scheme, ranked: RankedList | None, kind, probe: Dataset, seed: int, cache: dict | None = None) -> SelectionResult:
+def select(scheme, ranked: RankedList | None, kind, probe: Dataset, seed: int) -> SelectionResult:
     """Run one selection scheme and return the tie-resolved winner."""
     scheme = selection_scheme(scheme)
     kind = _coerce_kind(kind)
-    if cache is None:
-        cache = {}
     rng = np.random.default_rng(seed)
     candidates = _candidate_subsets(scheme, ranked, probe.n_features, rng)
     assert len(candidates) == scheme.budget
-    X = probe.features
-    y = probe.label_indices
-    values = np.empty(len(candidates))
-    for ordinal, cand in enumerate(candidates):
-        # cache entries are scoped to one live probe object
-        key = (id(probe), kind.tag, kind.hyperparams, seed, cand)
-        value = cache.get(key)
-        if value is None:
-            value = smoothed_loo_value(kind, X[:, np.asarray(cand, dtype=np.intp)], y, seed)
-            cache[key] = value
-        values[ordinal] = value
+    values = smoothed_loo_value(kind, probe.features, probe.label_indices, candidates, seed)
     best = float(values.min())
     return SelectionResult(
         subset=FeatureSubset(candidates[_resolve_best(values, candidates, rng)]),

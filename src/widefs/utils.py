@@ -37,10 +37,11 @@ def canonical_order(X: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Training routines reorder their input through this so that fitted
     models (including ones with internal RNG consumption, e.g. bootstrap
-    forests) are invariant to row permutations of the training data.
+    forests) are invariant to row permutations of the training data.  A
+    stack of matrices (..., n, k) gets one row order per matrix.
     """
-    keys = [y] + [X[:, j] for j in range(X.shape[1] - 1, -1, -1)]
-    return np.lexsort(keys)
+    keys = [np.broadcast_to(y, X.shape[:-1])] + [X[..., j] for j in range(X.shape[-1] - 1, -1, -1)]
+    return np.lexsort(keys, axis=-1)
 
 
 def local_labels(y: np.ndarray):

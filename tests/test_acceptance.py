@@ -32,6 +32,8 @@ from widefs.samplesize import (
 from widefs.selectors import select, selection_scheme
 from widefs.stats import RankMatrix, friedman_test, rank_rows, selector_rank_table
 
+from test_stats import exact_permutation_p
+
 
 def ok(criterion: str, detail: str = ""):
     print(f"ACCEPTANCE {criterion}: PASS {detail}")
@@ -247,18 +249,11 @@ def test_10_friedman_correctness():
 
     rng_matrix = np.random.default_rng(0)
     checked = 0
-    for seed in range(3):
+    for _ in range(3):
         errors = rng_matrix.random((6, 3)) + np.array([0.0, 0.8, 1.6])[None, :]
         m = rank_rows(errors)
         observed = friedman_test(m)
-        perm_rng = np.random.default_rng(500 + seed)
-        stats = np.empty(100_000)
-        for t in range(100_000):
-            permuted = np.take_along_axis(
-                m.ranks, perm_rng.permuted(np.tile(np.arange(3), (6, 1)), axis=1), axis=1
-            )
-            stats[t] = friedman_test(RankMatrix(permuted)).statistic
-        p_oracle = float(np.mean(stats >= observed.statistic - 1e-12))
+        p_oracle = exact_permutation_p(m)
         assert abs(observed.p_value - p_oracle) <= 0.02, (observed.p_value, p_oracle)
         checked += 1
     ok("10", f"(statistic 8.0, p {res.p_value:.4f}; {checked} oracle matrices within 0.02)")

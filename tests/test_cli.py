@@ -64,6 +64,14 @@ class TestUsageErrors:
             main(["samplesize", "--p1", "0.8", "--frobnicate"])
         assert exc.value.code == 1
 
+    def test_malformed_workers_env_only_fails_bench(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("WIDEFS_WORKERS", "two")
+        assert main(["samplesize", "--p1", "0.85", "--p2", "0.80", "--ceil"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--manifest", str(tmp_path / "m.csv"), "--out", str(tmp_path / "r.jsonl")])
+        assert exc.value.code == 1
+        assert "invalid int value: 'two'" in capsys.readouterr().err
+
 
 class TestDemo:
     def test_classifier_dependence_ldc_wins(self, capsys):

@@ -10,7 +10,10 @@ from widefs.estimators import (
     loo_passes,
     proper_rloo_error,
     resubstitution_error,
+    stacked_loo_passes,
 )
+from widefs.rankers import rank_features
+from widefs.selectors import _candidate_subsets, selection_scheme
 
 
 def labeled(X, labels, name="t"):
@@ -86,7 +89,9 @@ class TestLeaveOneOut:
 class TestClosedFormLooOracle:
     """The batched all-folds LOO of NN1, LDC and NB against a fold-by-fold
     refit.  At 20 or more columns the 20-row probe has k >= n, so LDC runs
-    in its pseudo-inverse regime."""
+    in its pseudo-inverse regime.  Candidate lists of mixed cardinality go
+    through the stacked criterion, whose rows must equal the one-candidate
+    call exactly."""
 
     @staticmethod
     def refit_folds(kind, X, y, seed):
@@ -106,6 +111,35 @@ class TestClosedFormLooOracle:
         np.testing.assert_array_equal(correct, ref_correct)
         np.testing.assert_allclose(p_true, ref_p_true, rtol=0.0, atol=1e-10)
 
+    def check_stack(self, kind, probe, candidates, seed):
+        X, y = probe.features, probe.label_indices
+        correct, p_true = stacked_loo_passes(kind, X, y, candidates, seed)
+        assert correct.shape == p_true.shape == (len(candidates), len(y))
+        for row, cand in enumerate(candidates):
+            cols = np.asarray(cand, dtype=np.intp)
+            one_correct, one_p_true = loo_passes(kind, X[:, cols], y, seed)
+            assert np.array_equal(correct[row], one_correct)
+            assert np.array_equal(p_true[row], one_p_true)
+            ref_correct, ref_p_true = self.refit_folds(kind, X[:, cols], y, seed)
+            np.testing.assert_array_equal(correct[row], ref_correct)
+            np.testing.assert_allclose(p_true[row], ref_p_true, rtol=0.0, atol=1e-10)
+
+    @staticmethod
+    def mixed_candidates(probe, seed):
+        """EX10, BEST3 and RND20 candidates (thinned), repeats and the empty subset."""
+        ranked = rank_features("SU", probe, seed)
+        rng = np.random.default_rng(seed)
+        lists = [_candidate_subsets(selection_scheme(tag), ranked, probe.n_features, rng)
+                 for tag in ("EX10", "BEST3", "RND20")]
+        ex10, best3, rnd20 = lists
+        return ex10[::41] + best3[::127] + rnd20[:6] + rnd20[:3] + [()] + ex10[::205]
+
+    @pytest.mark.parametrize("tag", ["NN1", "LDC", "NB", "DT"])
+    @pytest.mark.parametrize("name", ["sonar_surrogate", "gauss_wide"])
+    def test_stacked_candidate_lists(self, tag, name, shipped):
+        probe = stratified_split(shipped[name], 10, 1).probe
+        self.check_stack(tag, probe, self.mixed_candidates(probe, 1), 1)
+
     @pytest.mark.parametrize("tag", ["NN1", "LDC", "NB"])
     @pytest.mark.parametrize("name", ["sonar_surrogate", "gauss_wide"])
     def test_matches_refit(self, tag, name, shipped):
@@ -124,6 +158,7 @@ class TestClosedFormLooOracle:
         rows = np.concatenate([np.flatnonzero(probe.label_indices == 0),
                                np.flatnonzero(probe.label_indices == 1)[:1]])
         self.check(tag, probe.take_rows(rows), np.arange(5), 3)
+        self.check_stack(tag, probe.take_rows(rows), [(0, 1, 2), (), (3,), (4, 0), (0, 1, 2)], 3)
 
 
 class TestHoldout:

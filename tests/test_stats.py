@@ -80,18 +80,23 @@ class TestFriedman:
 
 
 def _oracle_pair(seed, shift):
-    """(chi-squared p, exact permutation p) for one random 6x3 matrix.
+    """(chi-squared p, exact permutation p) for one random 6x3 matrix."""
+    rng = np.random.default_rng(seed)
+    errors = rng.random((6, 3))
+    if shift:
+        errors = errors + np.array([0.0, 0.8, 1.6])[None, :]
+    m = rank_rows(errors)
+    return friedman_test(m).p_value, exact_permutation_p(m)
+
+
+def exact_permutation_p(m):
+    """Exact permutation p-value of friedman_test on a 6x3 rank matrix.
 
     The permutation null enumerates all 6^6 = 46,656 ways to permute the
     ranks within each of the 6 rows; the statistic of each is computed with
     friedman_test's formula, whose tie-correction term no such permutation
     changes.
     """
-    rng = np.random.default_rng(seed)
-    errors = rng.random((6, 3))
-    if shift:
-        errors = errors + np.array([0.0, 0.8, 1.6])[None, :]
-    m = rank_rows(errors)
     observed = friedman_test(m)
     perms = np.array(list(itertools.permutations(range(3))))  # (6, 3)
     choice = np.array(list(itertools.product(range(len(perms)), repeat=6)))  # (46656, 6)
@@ -100,7 +105,7 @@ def _oracle_pair(seed, shift):
     n, k = m.ranks.shape
     s = np.sum((permuted.sum(axis=1) - n * (k + 1) / 2.0) ** 2, axis=1)
     stats = (k - 1) * s / (np.sum(m.ranks**2) - n * k * (k + 1) ** 2 / 4.0)
-    return observed.p_value, float(np.mean(stats >= observed.statistic - 1e-12))
+    return float(np.mean(stats >= observed.statistic - 1e-12))
 
 
 class TestBestGroup:

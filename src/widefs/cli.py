@@ -190,6 +190,8 @@ def build_parser() -> _Parser:
 
 def _cmd_samplesize(args) -> int:
     if args.curve:
+        if args.p1_step <= 0:
+            raise ValueError("--p1-step must be > 0")
         p1s = np.arange(args.p1_min, args.p1_max + 1e-12, args.p1_step)
         alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
         rows = ss.sample_size_curve(p1s, args.gap, alphas, "independent" if args.d is None else args.d)
@@ -242,7 +244,7 @@ def _cmd_rank(args) -> int:
 
 def _cmd_select(args) -> int:
     data = _load(args)
-    probe = ds.stratified_split(data, args.per_class, args.seed).probe if args.per_class else data
+    probe = ds.stratified_split(data, args.per_class, args.seed).probe if args.per_class is not None else data
     scheme = selection_scheme(args.scheme)
     ranked = None
     if scheme.tag != "ALL":

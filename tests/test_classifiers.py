@@ -104,14 +104,15 @@ class TestTraining:
 
     @pytest.mark.parametrize("tag", CLASSIFIER_TAGS)
     def test_row_permutation_invariance(self, tag):
-        d = two_class(n_per_class=7, seed=3)
-        rng = np.random.default_rng(11)
-        perm = rng.permutation(d.n_instances)
-        shuffled = d.take_rows(perm)
-        q = rng.normal(size=(25, d.n_features))
-        a = predict_proba(train(fast_kind(tag), d, None, seed=4), q)
-        b = predict_proba(train(fast_kind(tag), shuffled, None, seed=4), q)
-        assert np.array_equal(a, b)
+        for n_per_class in (7, 20):  # 14 rows, and 40 rows (above probe size)
+            d = two_class(n_per_class=n_per_class, seed=3)
+            rng = np.random.default_rng(11)
+            perm = rng.permutation(d.n_instances)
+            shuffled = d.take_rows(perm)
+            q = rng.normal(size=(25, d.n_features))
+            a = predict_proba(train(fast_kind(tag), d, None, seed=4), q)
+            b = predict_proba(train(fast_kind(tag), shuffled, None, seed=4), q)
+            assert np.array_equal(a, b), n_per_class
 
     def test_nn1_resubstitution_always_correct(self):
         for seed in range(5):

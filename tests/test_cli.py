@@ -46,6 +46,11 @@ class TestSampleSize:
         assert lines[0] == "p1,alpha,N"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("step", ["0", "-0.05"])
+    def test_curve_nonpositive_step_exit_2(self, step, capsys):
+        assert main(["samplesize", "--curve", "--p1-step", step]) == 2
+        assert "--p1-step must be > 0" in capsys.readouterr().err
+
     def test_invalid_plan_exit_2(self, capsys):
         assert main(["samplesize", "--p1", "0.8", "--p2", "0.8"]) == 2
 
@@ -115,6 +120,11 @@ class TestSelectAndEstimate:
     def test_select_needs_ranker(self, probe_csv):
         assert main(["select", "--data", str(probe_csv), "--scheme", "TOP3",
                      "--classifier", "LDC"]) == 2
+
+    def test_select_per_class_zero_exit_2(self, probe_csv, capsys):
+        assert main(["select", "--data", str(probe_csv), "--scheme", "ALL",
+                     "--classifier", "NN1", "--per-class", "0"]) == 2
+        assert "per_class must be >= 1" in capsys.readouterr().err
 
     def test_estimate_resub(self, probe_csv, capsys):
         rc = main(["estimate", "--data", str(probe_csv), "--classifier", "NN1",
